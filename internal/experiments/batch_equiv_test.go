@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/holmes-colocation/holmes/internal/golden"
 	"github.com/holmes-colocation/holmes/internal/machine"
 )
 
@@ -22,6 +23,12 @@ import (
 // CI batch-equiv job) runs the entire registry. On failure, if
 // HOLMES_EQUIV_DIFF_DIR is set, the mismatched renderings are written
 // there so CI can upload them as an artifact.
+//
+// The serial batching-off reference is also checked against the committed
+// per-experiment digests in testdata/golden.json, so a change that shifts
+// every configuration alike still fails. `make golden` regenerates the
+// digests (HOLMES_GOLDEN_UPDATE=1 over the full registry) and skips the
+// variant runs.
 func TestRegistryBatchingEquivalence(t *testing.T) {
 	prev := machine.DefaultIntervalBatching()
 	defer machine.SetDefaultIntervalBatching(prev)
@@ -47,6 +54,12 @@ func TestRegistryBatchingEquivalence(t *testing.T) {
 	}
 
 	ref := run(false, 1)
+	for i, id := range ids {
+		golden.Check(t, "testdata/golden.json", id, ref[i])
+	}
+	if golden.Updating() {
+		return
+	}
 	variants := []struct {
 		name     string
 		batching bool
