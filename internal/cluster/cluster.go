@@ -21,12 +21,12 @@ package cluster
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 
 	"github.com/holmes-colocation/holmes/internal/batch"
 	"github.com/holmes-colocation/holmes/internal/faults"
+	"github.com/holmes-colocation/holmes/internal/lcservice"
 	"github.com/holmes-colocation/holmes/internal/obs"
 	"github.com/holmes-colocation/holmes/internal/runner"
 	"github.com/holmes-colocation/holmes/internal/stats"
@@ -75,9 +75,6 @@ const trendAlpha = 0.3
 // under this (about nine rounds from the eviction threshold at
 // trendAlpha), so the fast-forward path never hides a cooling node.
 const lodQuietVPI = 1.0
-
-// debugVPI prints per-round node VPI trends (development aid).
-var debugVPI = os.Getenv("HOLMES_CLUSTER_DEBUG") != ""
 
 // pendingPod is one queue entry awaiting placement.
 type pendingPod struct {
@@ -307,7 +304,7 @@ func Run(spec Spec, opt RunOptions) (*Result, error) {
 	for i := range spec.Services {
 		ss := spec.Services[i]
 		queue = append(queue, &pendingPod{
-			req: PodRequest{Name: ss.Name, Guaranteed: true, Threads: serviceThreads(ss.Store)},
+			req: PodRequest{Name: ss.Name, Guaranteed: true, Threads: lcservice.DefaultConfigFor(ss.Store).Threads()},
 			svc: &ss,
 		})
 		tracer.admit(ss.Name, 0)
@@ -376,7 +373,7 @@ func Run(spec Spec, opt RunOptions) (*Result, error) {
 				ss := spec.Services[si]
 				queue = append(queue, &pendingPod{
 					req: PodRequest{Name: ss.Name, Guaranteed: true,
-						Threads: serviceThreads(ss.Store)},
+						Threads: lcservice.DefaultConfigFor(ss.Store).Threads()},
 					svc:       &ss,
 					notBefore: r + 1,
 				})
@@ -731,10 +728,6 @@ func Run(spec Spec, opt RunOptions) (*Result, error) {
 				}
 				st.HB = hb
 			})
-			if debugVPI {
-				fmt.Printf("round %d node %d hbVPI %.1f trend %.1f hot %d\n",
-					r, i, hb.SmoothedVPI, states[i].TrendVPI, states[i].Hot)
-			}
 			tel.gaugeVPI(i, hb.SmoothedVPI)
 			if r >= warmupRounds && states[i].TrendVPI > res.PeakSmoothedVPI {
 				res.PeakSmoothedVPI = states[i].TrendVPI
@@ -977,19 +970,6 @@ func reconcileDecisions(states []NodeState, placed map[string]*placedPod, hotRou
 }
 
 func pendingName(pp *placedPod) string { return pp.pending.req.Name }
-
-// serviceThreads is the declared thread count of a service pod, matching
-// lcservice.DefaultConfigFor (workers + background workers).
-func serviceThreads(store string) int {
-	switch store {
-	case "redis":
-		return 2
-	case "memcached":
-		return 4
-	default:
-		return 6
-	}
-}
 
 // clusterTelemetry pre-resolves the control plane's metric handles.
 type clusterTelemetry struct {

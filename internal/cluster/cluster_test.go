@@ -229,6 +229,7 @@ func TestSpecValidate(t *testing.T) {
 		{"dup service", func(s *Spec) { s.Services = append(s.Services, s.Services[0]) }, "duplicate service name"},
 		{"bad store", func(s *Spec) { s.Services[0].Store = "mongo" }, `unknown store "mongo"`},
 		{"bad rps", func(s *Spec) { s.Services[0].RPS = 0 }, "positive rps"},
+		{"negative records", func(s *Spec) { s.Services[0].RecordCount = -5 }, "record_count must not be negative"},
 		{"bad kind", func(s *Spec) { s.Batch.Kinds = []string{"quantum"} }, `unknown batch kind "quantum"`},
 	}
 	for _, tc := range cases {

@@ -9,11 +9,6 @@ import (
 	"github.com/holmes-colocation/holmes/internal/faults"
 	"github.com/holmes-colocation/holmes/internal/kernel"
 	"github.com/holmes-colocation/holmes/internal/kubelite"
-	"github.com/holmes-colocation/holmes/internal/kvstore"
-	"github.com/holmes-colocation/holmes/internal/kvstore/memcached"
-	"github.com/holmes-colocation/holmes/internal/kvstore/redis"
-	"github.com/holmes-colocation/holmes/internal/kvstore/rocksdb"
-	"github.com/holmes-colocation/holmes/internal/kvstore/wiredtiger"
 	"github.com/holmes-colocation/holmes/internal/lcservice"
 	"github.com/holmes-colocation/holmes/internal/machine"
 	"github.com/holmes-colocation/holmes/internal/rng"
@@ -86,7 +81,6 @@ type nodeService struct {
 	spec   ServiceSpec
 	svc    *lcservice.Service
 	client *lcservice.Client
-	store  kvstore.Store
 }
 
 // Node is one cluster member: a full machine + kernel + cgroupfs + Holmes
@@ -106,9 +100,8 @@ type Node struct {
 	sloNs    float64
 	services map[string]*nodeService
 
-	// Measurement baselines, captured when the measured window opens.
-	busyBase      float64
-	completedPods int
+	// Measurement baseline, captured when the measured window opens.
+	busyBase float64
 }
 
 // bootNode builds one node. Its machine seed derives from (cluster seed,
@@ -251,23 +244,15 @@ func (n *Node) PlaceService(ss ServiceSpec) error {
 	if _, dup := n.services[ss.Name]; dup {
 		return fmt.Errorf("cluster: node %d already runs service %s", n.ID, ss.Name)
 	}
-	store, err := newStore(ss.Store, rng.DeriveSeed(n.seed, "svc-store", ss.Name))
+	records := ss.RecordCount
+	if records == 0 {
+		records = 20_000
+	}
+	svc, gen, err := lcservice.LaunchStore(n.k, ss.Store, rng.DeriveSeed(n.seed, "svc-store", ss.Name),
+		defaultStr(ss.Workload, "a"), records, rng.DeriveSeed(n.seed, "svc-gen", ss.Name))
 	if err != nil {
 		return err
 	}
-	svc := lcservice.Launch(n.k, store, lcservice.DefaultConfigFor(ss.Store))
-	wl, err := ycsb.ByName(defaultStr(ss.Workload, "a"))
-	if err != nil {
-		return err
-	}
-	gcfg := ycsb.DefaultConfig(wl)
-	gcfg.RecordCount = ss.RecordCount
-	if gcfg.RecordCount == 0 {
-		gcfg.RecordCount = 20_000
-	}
-	gcfg.Seed = rng.DeriveSeed(n.seed, "svc-gen", ss.Name)
-	gen := ycsb.NewGenerator(gcfg)
-	svc.Load(gen)
 
 	if _, err := n.kl.RunServicePod(ss.Name, svc.Process()); err != nil {
 		return err
@@ -277,7 +262,7 @@ func (n *Node) PlaceService(ss ServiceSpec) error {
 		rng.DeriveSeed(n.seed, "svc-traffic", ss.Name))
 	client := lcservice.NewClient(svc, gen, tr)
 	client.Start()
-	n.services[ss.Name] = &nodeService{spec: ss, svc: svc, client: client, store: store}
+	n.services[ss.Name] = &nodeService{spec: ss, svc: svc, client: client}
 	return nil
 }
 
@@ -291,26 +276,17 @@ func (n *Node) PlaceReplica(name, service string, rs scenario.ReplicatedService)
 	if _, dup := n.services[name]; dup {
 		return fmt.Errorf("cluster: node %d already runs replica %s", n.ID, name)
 	}
-	store, err := newStore(rs.Store, rng.DeriveSeed(n.seed, "replica-store", service))
+	svc, _, err := lcservice.LaunchStore(n.k, rs.Store, rng.DeriveSeed(n.seed, "replica-store", service),
+		rs.WorkloadName(), rs.Records(), rng.DeriveSeed(n.seed, "replica-gen", service))
 	if err != nil {
 		return err
 	}
-	svc := lcservice.Launch(n.k, store, lcservice.DefaultConfigFor(rs.Store))
-	wl, err := ycsb.ByName(rs.WorkloadName())
-	if err != nil {
-		return err
-	}
-	gcfg := ycsb.DefaultConfig(wl)
-	gcfg.RecordCount = rs.Records()
-	gcfg.Seed = rng.DeriveSeed(n.seed, "replica-gen", service)
-	svc.Load(ycsb.NewGenerator(gcfg))
 	if _, err := n.kl.RunServicePod(name, svc.Process()); err != nil {
 		return err
 	}
 	n.services[name] = &nodeService{
-		spec:  ServiceSpec{Name: name, Store: rs.Store, Workload: rs.WorkloadName()},
-		svc:   svc,
-		store: store,
+		spec: ServiceSpec{Name: name, Store: rs.Store, Workload: rs.WorkloadName()},
+		svc:  svc,
 	}
 	return nil
 }
@@ -412,7 +388,6 @@ func (n *Node) ReapFinished() ([]string, error) {
 		if err := n.kl.DeletePod(name); err != nil {
 			return done, err
 		}
-		n.completedPods++
 		done = append(done, name)
 	}
 	return done, nil
@@ -425,7 +400,6 @@ func (n *Node) BeginMeasurement() {
 		s.svc.ResetLatencies()
 	}
 	n.busyBase = n.totalBusy()
-	n.completedPods = 0
 }
 
 func (n *Node) totalBusy() float64 {
@@ -443,10 +417,6 @@ func (n *Node) Utilization(windowNs int64) float64 {
 		(n.m.Config().FreqGHz * float64(windowNs) * nCPU)
 }
 
-// CompletedPods returns finite BestEffort pods reaped since
-// BeginMeasurement.
-func (n *Node) CompletedPods() int { return n.completedPods }
-
 // Stop halts the node's daemon and clients.
 func (n *Node) Stop() {
 	for _, s := range n.services {
@@ -455,26 +425,4 @@ func (n *Node) Stop() {
 		}
 	}
 	n.kl.Stop()
-}
-
-// newStore mirrors the experiments/scenario constructors (kept local so
-// cluster does not depend on either package).
-func newStore(name string, seed uint64) (kvstore.Store, error) {
-	switch name {
-	case "redis":
-		cfg := redis.DefaultConfig()
-		cfg.Seed = seed
-		return redis.New(cfg), nil
-	case "memcached":
-		return memcached.New(memcached.DefaultConfig()), nil
-	case "rocksdb":
-		cfg := rocksdb.DefaultConfig()
-		cfg.Seed = seed
-		return rocksdb.New(cfg), nil
-	case "wiredtiger":
-		cfg := wiredtiger.DefaultConfig()
-		cfg.Seed = seed
-		return wiredtiger.New(cfg), nil
-	}
-	return nil, fmt.Errorf("cluster: unknown store %q", name)
 }

@@ -7,6 +7,7 @@ import (
 
 	"github.com/holmes-colocation/holmes/internal/batch"
 	"github.com/holmes-colocation/holmes/internal/faults"
+	"github.com/holmes-colocation/holmes/internal/lcservice"
 	"github.com/holmes-colocation/holmes/internal/scenario"
 	"github.com/holmes-colocation/holmes/internal/ycsb"
 )
@@ -212,16 +213,17 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("cluster: duplicate service name %q", svc.Name)
 		}
 		seen[svc.Name] = true
-		switch svc.Store {
-		case "redis", "memcached", "rocksdb", "wiredtiger":
-		default:
-			return fmt.Errorf("cluster: service %s: unknown store %q", svc.Name, svc.Store)
+		if err := lcservice.CheckStore(svc.Store); err != nil {
+			return fmt.Errorf("cluster: service %s: %w", svc.Name, err)
 		}
 		if _, err := ycsb.ByName(defaultStr(svc.Workload, "a")); err != nil {
 			return fmt.Errorf("cluster: service %s: %w", svc.Name, err)
 		}
 		if svc.RPS <= 0 {
 			return fmt.Errorf("cluster: service %s needs a positive rps", svc.Name)
+		}
+		if svc.RecordCount < 0 {
+			return fmt.Errorf("cluster: service %s: record_count must not be negative", svc.Name)
 		}
 	}
 	if s.Batch.Pods < 0 || s.Batch.PodsPerRound < 0 {

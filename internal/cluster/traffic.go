@@ -283,7 +283,7 @@ func (tc *trafficController) newReplicaPending(ts *trafficService) *pendingPod {
 	ts.pending++
 	rep := &trafficReplica{name: fmt.Sprintf("%s/%d", ts.spec.Name, idx), idx: idx, ts: ts}
 	return &pendingPod{
-		req: PodRequest{Name: rep.name, Guaranteed: true, Threads: serviceThreads(ts.spec.Store)},
+		req: PodRequest{Name: rep.name, Guaranteed: true, Threads: lcservice.DefaultConfigFor(ts.spec.Store).Threads()},
 		rep: rep,
 	}
 }

@@ -20,16 +20,12 @@ import (
 	"github.com/holmes-colocation/holmes/internal/core"
 	"github.com/holmes-colocation/holmes/internal/cpuid"
 	"github.com/holmes-colocation/holmes/internal/hpe"
-	"github.com/holmes-colocation/holmes/internal/isolation"
 	"github.com/holmes-colocation/holmes/internal/kernel"
 	"github.com/holmes-colocation/holmes/internal/kvstore"
-	"github.com/holmes-colocation/holmes/internal/kvstore/memcached"
-	"github.com/holmes-colocation/holmes/internal/kvstore/redis"
-	"github.com/holmes-colocation/holmes/internal/kvstore/rocksdb"
-	"github.com/holmes-colocation/holmes/internal/kvstore/wiredtiger"
 	"github.com/holmes-colocation/holmes/internal/lcservice"
 	"github.com/holmes-colocation/holmes/internal/machine"
 	"github.com/holmes-colocation/holmes/internal/perf"
+	"github.com/holmes-colocation/holmes/internal/scenario"
 	"github.com/holmes-colocation/holmes/internal/stats"
 	"github.com/holmes-colocation/holmes/internal/telemetry"
 	"github.com/holmes-colocation/holmes/internal/trace"
@@ -51,9 +47,7 @@ const (
 func Settings() []Setting { return []Setting{Alone, Holmes, PerfIso} }
 
 // StoreNames lists the four latency-critical services in paper order.
-func StoreNames() []string {
-	return []string{"redis", "rocksdb", "wiredtiger", "memcached"}
-}
+func StoreNames() []string { return lcservice.StoreNames() }
 
 // WorkloadsFor returns the YCSB workloads evaluated for a store
 // (Memcached has no scans, hence no workload E — §6.2).
@@ -159,28 +153,6 @@ type ColocationResult struct {
 	BatchMemBytes   int64
 }
 
-// newStore constructs a named store sized for the run.
-func newStore(name string, seed uint64) (kvstore.Store, error) {
-	switch name {
-	case "redis":
-		cfg := redis.DefaultConfig()
-		cfg.Seed = seed
-		return redis.New(cfg), nil
-	case "memcached":
-		cfg := memcached.DefaultConfig()
-		return memcached.New(cfg), nil
-	case "rocksdb":
-		cfg := rocksdb.DefaultConfig()
-		cfg.Seed = seed
-		return rocksdb.New(cfg), nil
-	case "wiredtiger":
-		cfg := wiredtiger.DefaultConfig()
-		cfg.Seed = seed
-		return wiredtiger.New(cfg), nil
-	}
-	return nil, fmt.Errorf("experiments: unknown store %q", name)
-}
-
 // batchJobSpec returns the compressed batch job rotation: the HiBench mix
 // the evaluation submits continuously.
 func batchJobSpec(i int) batch.Spec {
@@ -199,9 +171,9 @@ func RunColocation(cfg ColocationConfig) (*ColocationResult, error) {
 	if cfg.RPS == 0 {
 		cfg.RPS = defaultRPS(cfg.Store, cfg.Workload)
 	}
-	wl, err := ycsb.ByName(cfg.Workload)
-	if err != nil {
-		return nil, err
+	scheduler, ok := map[Setting]string{Alone: "none", Holmes: "holmes", PerfIso: "perfiso"}[cfg.Setting]
+	if !ok {
+		return nil, fmt.Errorf("experiments: unknown setting %q", cfg.Setting)
 	}
 
 	mcfg := machine.DefaultConfig() // 16 cores, 32 logical CPUs
@@ -221,56 +193,31 @@ func RunColocation(cfg ColocationConfig) (*ColocationResult, error) {
 	}
 
 	// The latency-critical service.
-	store, err := newStore(cfg.Store, cfg.Seed)
+	svc, gen, err := lcservice.LaunchStore(k, cfg.Store, cfg.Seed,
+		cfg.Workload, cfg.RecordCount, cfg.Seed+17)
 	if err != nil {
 		return nil, err
 	}
-	svcCfg := lcservice.DefaultConfigFor(cfg.Store)
-	svc := lcservice.Launch(k, store, svcCfg)
-	genCfg := ycsb.DefaultConfig(wl)
-	genCfg.RecordCount = cfg.RecordCount
-	genCfg.Seed = cfg.Seed + 17
-	gen := ycsb.NewGenerator(genCfg)
-	svc.Load(gen)
 
 	reserved := cpuid.MaskOf(0, 1, 2, 3)
 	nonReserved := cpuid.FullMask(mcfg.Topology.LogicalCPUs()).Subtract(reserved)
 
 	// Setting-specific control plane.
-	var holmesd *core.Daemon
-	var perfiso *isolation.PerfIso
-	switch cfg.Setting {
-	case Alone:
-		if err := svc.Process().SetAffinity(reserved); err != nil {
-			return nil, err
-		}
-	case Holmes:
-		hc := core.DefaultConfig()
-		if cfg.HolmesConfig != nil {
-			hc = *cfg.HolmesConfig
-		} else {
-			hc.SNs = 500_000_000 // compressed quiet period (S)
-		}
-		hc.DaemonCPU = mcfg.Topology.LogicalCPUs() - 1
-		hc.Telemetry = cfg.Telemetry
-		holmesd, err = core.Start(k, fs, hc)
-		if err != nil {
-			return nil, err
-		}
-		if err := holmesd.RegisterLC(svc.PID()); err != nil {
-			return nil, err
-		}
-	case PerfIso:
-		pc := isolation.DefaultPerfIsoConfig()
-		perfiso, err = isolation.StartPerfIso(k, fs, pc)
-		if err != nil {
-			return nil, err
-		}
-		if err := perfiso.RegisterLC(svc.PID()); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("experiments: unknown setting %q", cfg.Setting)
+	hc := core.DefaultConfig()
+	if cfg.HolmesConfig != nil {
+		hc = *cfg.HolmesConfig
+	} else {
+		hc.SNs = 500_000_000 // compressed quiet period (S)
+	}
+	hc.DaemonCPU = mcfg.Topology.LogicalCPUs() - 1
+	hc.Telemetry = cfg.Telemetry
+	policy, holmesd, err := scenario.StartPolicy(scheduler, k, fs, reserved, hc)
+	if err != nil {
+		return nil, err
+	}
+	defer policy.Stop()
+	if err := policy.RegisterLC(svc.PID()); err != nil {
+		return nil, err
 	}
 
 	// Batch jobs under the co-location settings.
@@ -373,12 +320,8 @@ func RunColocation(cfg ColocationConfig) (*ColocationResult, error) {
 		res.Invocations, res.Deallocations, res.Reallocations, res.Expansions = holmesd.Stats()
 		res.DaemonUtil = (holmesd.CPUTimeNs() - daemonBase) / float64(cfg.DurationNs)
 		res.TelemetryUtil = (holmesd.TelemetryCPUTimeNs() - telBase) / float64(cfg.DurationNs)
-		holmesd.Stop()
 	}
-	if perfiso != nil {
-		perfiso.Stop()
-	}
-	if mr, ok := store.(kvstore.MemoryReporter); ok {
+	if mr, ok := svc.Store().(kvstore.MemoryReporter); ok {
 		res.ServiceMemBytes = mr.ApproxMemory()
 	}
 	if nm != nil {

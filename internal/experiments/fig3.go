@@ -7,7 +7,6 @@ import (
 	"github.com/holmes-colocation/holmes/internal/batch"
 	"github.com/holmes-colocation/holmes/internal/cpuid"
 	"github.com/holmes-colocation/holmes/internal/kernel"
-	"github.com/holmes-colocation/holmes/internal/kvstore/redis"
 	"github.com/holmes-colocation/holmes/internal/lcservice"
 	"github.com/holmes-colocation/holmes/internal/machine"
 	"github.com/holmes-colocation/holmes/internal/stats"
@@ -52,14 +51,10 @@ func RunFig3(durationNs int64, seed uint64) (Fig3Result, error) {
 		m := machine.New(mcfg)
 		k := kernel.New(m)
 
-		rcfg := redis.DefaultConfig()
-		rcfg.Seed = seed
-		svc := lcservice.Launch(k, redis.New(rcfg), lcservice.DefaultConfigFor("redis"))
-		gcfg := ycsb.DefaultConfig(ycsb.WorkloadA)
-		gcfg.RecordCount = 50_000
-		gcfg.Seed = seed + 17
-		gen := ycsb.NewGenerator(gcfg)
-		svc.Load(gen)
+		svc, gen, err := lcservice.LaunchStore(k, "redis", seed, "a", 50_000, seed+17)
+		if err != nil {
+			return out, err
+		}
 
 		// Redis pinned on four logical CPUs (0-3) in every setting.
 		lcMask := cpuid.MaskOf(0, 1, 2, 3)

@@ -51,16 +51,10 @@ func fig5Run(store string, proberRPS float64, durationNs int64, seed uint64) (fl
 	m := machine.New(mcfg)
 	k := kernel.New(m)
 
-	st, err := newStore(store, seed)
+	svc, gen, err := lcservice.LaunchStore(k, store, seed, "a", 50_000, seed+17)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	svc := lcservice.Launch(k, st, lcservice.DefaultConfigFor(store))
-	gcfg := ycsb.DefaultConfig(ycsb.WorkloadA)
-	gcfg.RecordCount = 50_000
-	gcfg.Seed = seed + 17
-	gen := ycsb.NewGenerator(gcfg)
-	svc.Load(gen)
 
 	lcMask := cpuid.MaskOf(0, 1, 2, 3)
 	if err := svc.Process().SetAffinity(lcMask); err != nil {

@@ -12,7 +12,8 @@ import (
 )
 
 // WriteHTMLReport runs the evaluation and renders it as a self-contained
-// HTML document with SVG figures: the graphical counterpart of RunAll.
+// HTML document with SVG figures: the graphical counterpart of the
+// registry's text renderings.
 func WriteHTMLReport(w io.Writer, o Options) error {
 	var doc report.Document
 	doc.Title = "Holmes: SMT Interference Diagnosis and CPU Scheduling for Job Co-location"

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"github.com/holmes-colocation/holmes/internal/runner"
@@ -284,20 +283,4 @@ func RunIDs(o Options, ids []string) ([]string, error) {
 		return nil, err
 	}
 	return outs, nil
-}
-
-// RunAll executes every experiment and concatenates the output in paper
-// order.
-func RunAll(o Options) (string, error) {
-	ids := IDs()
-	outs, err := RunIDs(o, ids)
-	if err != nil {
-		return "", err
-	}
-	reg := Registry()
-	var b strings.Builder
-	for i, id := range ids {
-		fmt.Fprintf(&b, "############ %s: %s ############\n%s\n", id, reg[id].Title, outs[i])
-	}
-	return b.String(), nil
 }

@@ -201,14 +201,6 @@ func (r *StormResult) Conserved() bool {
 	return r.Naive.Traffic.Conserved && r.Resilient.Traffic.Conserved && r.Control.Traffic.Conserved
 }
 
-// NaiveStormed reports the metastability signature: storm-window
-// amplification past the bound AND worse goodput than the resilient arm
-// despite (because of) all the extra arrivals.
-func (r *StormResult) NaiveStormed() bool {
-	return r.WindowAmplification(r.Naive) >= stormNaiveAmpBound &&
-		r.WindowGoodput(r.Naive) < r.WindowGoodput(r.Resilient)
-}
-
 // ResilientRecovered reports whether the budgeted arm regained goodput
 // within the bounded number of rounds after the reboot.
 func (r *StormResult) ResilientRecovered() bool {

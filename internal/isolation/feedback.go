@@ -26,7 +26,7 @@ import (
 //     ~20 µs reaction, faster than Holmes's 50-100 µs user-space loop
 //     but requiring kernel modifications.
 //
-// Each controller exposes ConvergedAtNs so the experiment can measure
+// Each controller exposes ConvergenceNs so the experiment can measure
 // stimulus-to-steady-state time.
 
 // LatencyProbe reports the service's current latency observation (e.g.
@@ -143,10 +143,6 @@ func (f *Feedback) MarkStimulus(nowNs int64) {
 	f.convergedAt = -1
 	f.inSLOStreak = 0
 }
-
-// ConvergedAtNs returns when the controller reached steady state after
-// the stimulus, or -1 if it has not.
-func (f *Feedback) ConvergedAtNs() int64 { return f.convergedAt }
 
 // ConvergenceNs returns the stimulus-to-convergence delay, or -1.
 func (f *Feedback) ConvergenceNs() int64 {

@@ -65,20 +65,8 @@ type Kernel struct {
 	telDepth   *telemetry.Histogram
 }
 
-// Option configures kernel construction.
-type Option func(*Kernel)
-
-// WithTimesliceTicks sets the round-robin timeslice in ticks.
-func WithTimesliceTicks(n int) Option {
-	return func(k *Kernel) {
-		if n > 0 {
-			k.sliceTicks = n
-		}
-	}
-}
-
 // New creates a Kernel and installs it as the machine's tick scheduler.
-func New(m *machine.Machine, opts ...Option) *Kernel {
+func New(m *machine.Machine) *Kernel {
 	n := m.Topology().LogicalCPUs()
 	k := &Kernel{
 		m:           m,
@@ -90,9 +78,6 @@ func New(m *machine.Machine, opts ...Option) *Kernel {
 		sliceTicks:  100, // 1 ms at the default 10 µs tick
 		sliceLeft:   make([]int, n),
 		stealPeriod: 10,
-	}
-	for _, o := range opts {
-		o(k)
 	}
 	m.SetScheduler(k)
 	return k

@@ -122,9 +122,6 @@ func (s *Store) Checkpoints() int64 { return s.checkpoints }
 // EvictionWrites returns the number of dirty-page eviction writes.
 func (s *Store) EvictionWrites() int64 { return s.evictionWrites }
 
-// Leaves returns the number of leaf pages.
-func (s *Store) Leaves() int { return s.tree.leaves }
-
 // DrainBackground implements kvstore.Backgrounder.
 func (s *Store) DrainBackground() []kvstore.BackgroundTask {
 	out := s.bg

@@ -16,6 +16,10 @@ import (
 
 	"github.com/holmes-colocation/holmes/internal/kernel"
 	"github.com/holmes-colocation/holmes/internal/kvstore"
+	"github.com/holmes-colocation/holmes/internal/kvstore/memcached"
+	"github.com/holmes-colocation/holmes/internal/kvstore/redis"
+	"github.com/holmes-colocation/holmes/internal/kvstore/rocksdb"
+	"github.com/holmes-colocation/holmes/internal/kvstore/wiredtiger"
 	"github.com/holmes-colocation/holmes/internal/machine"
 	"github.com/holmes-colocation/holmes/internal/stats"
 	"github.com/holmes-colocation/holmes/internal/workload"
@@ -51,17 +55,100 @@ func DefaultOverhead() workload.Cost {
 	return c
 }
 
-// DefaultConfigFor returns the per-store evaluation configuration.
-func DefaultConfigFor(storeName string) Config {
-	switch storeName {
-	case "redis":
-		// One event-loop worker plus the forked BGSAVE child.
-		return Config{Workers: 1, BackgroundWorkers: 1, PerRequestOverhead: DefaultOverhead()}
-	case "memcached":
-		return Config{Workers: 4, PerRequestOverhead: DefaultOverhead()}
-	default: // rocksdb, wiredtiger
-		return Config{Workers: 4, BackgroundWorkers: 2, PerRequestOverhead: DefaultOverhead()}
+// stores is the one table of latency-critical stores, in paper order:
+// how to build each from a seed and how many threads its service runs.
+var stores = []struct {
+	name                string
+	workers, background int
+	build               func(seed uint64) kvstore.Store // seed drives the store's randomness
+}{
+	// One event-loop worker plus the forked BGSAVE child.
+	{"redis", 1, 1, func(seed uint64) kvstore.Store {
+		cfg := redis.DefaultConfig()
+		cfg.Seed = seed
+		return redis.New(cfg)
+	}},
+	{"rocksdb", 4, 2, func(seed uint64) kvstore.Store {
+		cfg := rocksdb.DefaultConfig()
+		cfg.Seed = seed
+		return rocksdb.New(cfg)
+	}},
+	{"wiredtiger", 4, 2, func(seed uint64) kvstore.Store {
+		cfg := wiredtiger.DefaultConfig()
+		cfg.Seed = seed
+		return wiredtiger.New(cfg)
+	}},
+	{"memcached", 4, 0, func(uint64) kvstore.Store {
+		return memcached.New(memcached.DefaultConfig())
+	}},
+}
+
+// StoreNames lists the four latency-critical stores in paper order.
+func StoreNames() []string {
+	names := make([]string, len(stores))
+	for i, st := range stores {
+		names[i] = st.name
 	}
+	return names
+}
+
+func storeIndex(name string) int {
+	for i, st := range stores {
+		if st.name == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// CheckStore returns an error unless name is one of StoreNames.
+func CheckStore(name string) error {
+	if storeIndex(name) < 0 {
+		return fmt.Errorf("unknown store %q", name)
+	}
+	return nil
+}
+
+// DefaultConfigFor returns the per-store evaluation configuration. An
+// unknown name gets the disk-based stores' four workers and two
+// background workers.
+func DefaultConfigFor(storeName string) Config {
+	cfg := Config{Workers: 4, BackgroundWorkers: 2, PerRequestOverhead: DefaultOverhead()}
+	if i := storeIndex(storeName); i >= 0 {
+		cfg.Workers, cfg.BackgroundWorkers = stores[i].workers, stores[i].background
+	}
+	return cfg
+}
+
+// Threads returns the service's total thread count (workers plus
+// background workers) — what its pod declares to a placer.
+func (c Config) Threads() int { return c.Workers + c.BackgroundWorkers }
+
+// LaunchStore is the one way to bring up a preloaded service: it builds
+// the named store from storeSeed, launches it on k with its default
+// configuration, and loads records records drawn from a YCSB generator
+// for workload (a..f) seeded with genSeed. It returns the service and the
+// generator, which a client keeps drawing operations from.
+func LaunchStore(k *kernel.Kernel, store string, storeSeed uint64,
+	workload string, records int64, genSeed uint64) (*Service, *ycsb.Generator, error) {
+	wl, err := ycsb.ByName(workload)
+	if err != nil {
+		return nil, nil, err
+	}
+	if records <= 0 {
+		return nil, nil, fmt.Errorf("lcservice: %s needs a positive record count, got %d", store, records)
+	}
+	i := storeIndex(store)
+	if i < 0 {
+		return nil, nil, fmt.Errorf("lcservice: unknown store %q", store)
+	}
+	svc := Launch(k, stores[i].build(storeSeed), DefaultConfigFor(store))
+	gcfg := ycsb.DefaultConfig(wl)
+	gcfg.RecordCount = records
+	gcfg.Seed = genSeed
+	gen := ycsb.NewGenerator(gcfg)
+	svc.Load(gen)
+	return svc, gen, nil
 }
 
 // Service is a running latency-critical service.

@@ -1,6 +1,8 @@
 package lcservice
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/holmes-colocation/holmes/internal/cpuid"
@@ -36,6 +38,49 @@ func TestDefaultConfigFor(t *testing.T) {
 	}
 	if DefaultConfigFor("rocksdb").BackgroundWorkers == 0 {
 		t.Fatal("rocksdb needs background workers")
+	}
+	// The thread counts service pods declare to the cluster placer.
+	for store, want := range map[string]int{"redis": 2, "memcached": 4, "rocksdb": 6, "wiredtiger": 6} {
+		if got := DefaultConfigFor(store).Threads(); got != want {
+			t.Errorf("%s declares %d threads, want %d", store, got, want)
+		}
+	}
+}
+
+func TestLaunchStore(t *testing.T) {
+	if got, want := fmt.Sprint(StoreNames()), "[redis rocksdb wiredtiger memcached]"; got != want {
+		t.Fatalf("StoreNames() = %s, want paper order %s", got, want)
+	}
+	for _, store := range StoreNames() {
+		if err := CheckStore(store); err != nil {
+			t.Fatal(err)
+		}
+		_, k := newEnv()
+		svc, gen, err := LaunchStore(k, store, 1, "a", 500, 2)
+		if err != nil {
+			t.Fatalf("%s: %v", store, err)
+		}
+		if svc.Store().Name() == "" || gen == nil || len(svc.Workers()) != DefaultConfigFor(store).Workers {
+			t.Fatalf("%s: service not launched as configured", store)
+		}
+	}
+	for _, tc := range []struct {
+		store, workload string
+		records         int64
+		want            string
+	}{
+		{"cassandra", "a", 500, `unknown store "cassandra"`},
+		{"redis", "z", 500, `unknown workload "z"`},
+		{"redis", "a", 0, "positive record count"},
+		{"redis", "a", -5, "positive record count"},
+	} {
+		_, k := newEnv()
+		if _, _, err := LaunchStore(k, tc.store, 1, tc.workload, tc.records, 2); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("LaunchStore(%s, %s, %d) = %v, want an error mentioning %q", tc.store, tc.workload, tc.records, err, tc.want)
+		}
+	}
+	if err := CheckStore("cassandra"); err == nil {
+		t.Fatal("CheckStore accepted an unknown store")
 	}
 }
 

@@ -265,11 +265,6 @@ func (m *Machine) Schedule(at int64, fn func(nowNs int64)) {
 	m.events.schedule(at, fn)
 }
 
-// ScheduleAfter enqueues fn after a delay from now.
-func (m *Machine) ScheduleAfter(delay int64, fn func(nowNs int64)) {
-	m.events.schedule(m.now+delay, fn)
-}
-
 // SchedulePeriodic runs fn every period, starting after one period.
 // The returned stop function cancels future invocations.
 func (m *Machine) SchedulePeriodic(period int64, fn func(nowNs int64)) (stop func()) {

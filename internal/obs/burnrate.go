@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -225,17 +224,4 @@ func (e *BurnEngine) countFiring(severity string) int {
 		}
 	}
 	return n
-}
-
-// SLONames returns the configured SLO names, sorted.
-func (e *BurnEngine) SLONames() []string {
-	if e == nil {
-		return nil
-	}
-	names := make([]string, 0, len(e.slos))
-	for _, s := range e.slos {
-		names = append(names, s.cfg.Name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -209,11 +209,6 @@ func (r *Source) Poisson(mean float64) int {
 	return int(v)
 }
 
-// Uniform returns a uniform value in [lo, hi).
-func (r *Source) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
-}
-
 // Shuffle permutes the first n elements using the Fisher-Yates algorithm,
 // calling swap(i, j) to exchange elements.
 func (r *Source) Shuffle(n int, swap func(i, j int)) {

@@ -20,10 +20,6 @@ import (
 	"github.com/holmes-colocation/holmes/internal/isolation"
 	"github.com/holmes-colocation/holmes/internal/kernel"
 	"github.com/holmes-colocation/holmes/internal/kvstore"
-	"github.com/holmes-colocation/holmes/internal/kvstore/memcached"
-	"github.com/holmes-colocation/holmes/internal/kvstore/redis"
-	"github.com/holmes-colocation/holmes/internal/kvstore/rocksdb"
-	"github.com/holmes-colocation/holmes/internal/kvstore/wiredtiger"
 	"github.com/holmes-colocation/holmes/internal/lcservice"
 	"github.com/holmes-colocation/holmes/internal/machine"
 	"github.com/holmes-colocation/holmes/internal/stats"
@@ -112,16 +108,24 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("scenario: at least one service required")
 	}
 	for _, svc := range s.Services {
-		switch svc.Store {
-		case "redis", "memcached", "rocksdb", "wiredtiger":
-		default:
-			return fmt.Errorf("scenario: unknown store %q", svc.Store)
+		if err := lcservice.CheckStore(svc.Store); err != nil {
+			return fmt.Errorf("scenario: %w", err)
 		}
 		if _, err := ycsb.ByName(defaultStr(svc.Workload, "a")); err != nil {
 			return err
 		}
 		if svc.RPS <= 0 {
 			return fmt.Errorf("scenario: service %s needs a positive rps", svc.Store)
+		}
+		if svc.RecordCount < 0 {
+			return fmt.Errorf("scenario: service %s: record_count must not be negative", svc.Store)
+		}
+		// The same nanosecond bounds ycsb.NewTraffic enforces.
+		if b, g := svc.BurstSeconds, svc.GapSeconds; b[0] > 0 {
+			bMin, bMax, gMin, gMax := int64(b[0]*1e9), int64(b[1]*1e9), int64(g[0]*1e9), int64(g[1]*1e9)
+			if bMin <= 0 || bMax < bMin || gMin < 0 || gMax < gMin {
+				return fmt.Errorf("scenario: service %s: burst_seconds and gap_seconds must be [min, max] ranges with a positive burst", svc.Store)
+			}
 		}
 	}
 	if s.DurationSeconds <= 0 {
@@ -198,24 +202,18 @@ func Run(spec Spec) (*Report, error) {
 		spec   ServiceSpec
 		svc    *lcservice.Service
 		client *lcservice.Client
-		store  kvstore.Store
 	}
 	var services []running
 	for i, ss := range spec.Services {
-		store, err := newStore(ss.Store, mcfg.Seed+uint64(i))
+		records := ss.RecordCount
+		if records == 0 {
+			records = 50_000
+		}
+		svc, gen, err := lcservice.LaunchStore(k, ss.Store, mcfg.Seed+uint64(i),
+			defaultStr(ss.Workload, "a"), records, mcfg.Seed+17+uint64(i)*101)
 		if err != nil {
 			return nil, err
 		}
-		svc := lcservice.Launch(k, store, lcservice.DefaultConfigFor(ss.Store))
-		wl, _ := ycsb.ByName(defaultStr(ss.Workload, "a"))
-		gcfg := ycsb.DefaultConfig(wl)
-		gcfg.RecordCount = ss.RecordCount
-		if gcfg.RecordCount == 0 {
-			gcfg.RecordCount = 50_000
-		}
-		gcfg.Seed = mcfg.Seed + 17 + uint64(i)*101
-		gen := ycsb.NewGenerator(gcfg)
-		svc.Load(gen)
 
 		var tr *ycsb.Traffic
 		if ss.BurstSeconds[0] > 0 {
@@ -226,74 +224,37 @@ func Run(spec Spec) (*Report, error) {
 		} else {
 			tr = ycsb.NewTraffic(1e9, 2e9, 1, 2, ss.RPS, mcfg.Seed+29+uint64(i)*7)
 		}
-		services = append(services, running{spec: ss, svc: svc, store: store,
+		services = append(services, running{spec: ss, svc: svc,
 			client: lcservice.NewClient(svc, gen, tr)})
 	}
 
 	// Control plane.
-	var holmesd *core.Daemon
-	var perfiso *isolation.PerfIso
-	switch spec.Scheduler {
-	case "holmes":
-		hc := core.DefaultConfig()
-		hc.ReservedCPUs = reservedN
-		hc.SNs = 500_000_000
-		hc.DaemonCPU = nLCPU - 1
-		if h := spec.Holmes; h != nil {
-			if h.E > 0 {
-				hc.E = h.E
-			}
-			if h.IntervalUs > 0 {
-				hc.IntervalNs = h.IntervalUs * 1000
-			}
-			if h.QuietSeconds > 0 {
-				hc.SNs = int64(h.QuietSeconds * 1e9)
-			}
-			if h.TriggerMetric != "" {
-				hc.TriggerMetric = core.Metric(h.TriggerMetric)
-			}
+	hc := core.DefaultConfig()
+	hc.ReservedCPUs = reservedN
+	hc.SNs = 500_000_000
+	hc.DaemonCPU = nLCPU - 1
+	if h := spec.Holmes; h != nil {
+		if h.E > 0 {
+			hc.E = h.E
 		}
-		var err error
-		holmesd, err = core.Start(k, fs, hc)
-		if err != nil {
+		if h.IntervalUs > 0 {
+			hc.IntervalNs = h.IntervalUs * 1000
+		}
+		if h.QuietSeconds > 0 {
+			hc.SNs = int64(h.QuietSeconds * 1e9)
+		}
+		if h.TriggerMetric != "" {
+			hc.TriggerMetric = core.Metric(h.TriggerMetric)
+		}
+	}
+	policy, holmesd, err := StartPolicy(spec.Scheduler, k, fs, reserved, hc)
+	if err != nil {
+		return nil, err
+	}
+	defer policy.Stop()
+	for _, r := range services {
+		if err := policy.RegisterLC(r.svc.PID()); err != nil {
 			return nil, err
-		}
-		for _, r := range services {
-			if err := holmesd.RegisterLC(r.svc.PID()); err != nil {
-				return nil, err
-			}
-		}
-	case "perfiso":
-		pc := isolation.DefaultPerfIsoConfig()
-		pc.ReservedCPUs = reservedN
-		var err error
-		perfiso, err = isolation.StartPerfIso(k, fs, pc)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range services {
-			if err := perfiso.RegisterLC(r.svc.PID()); err != nil {
-				return nil, err
-			}
-		}
-	case "static":
-		sc := isolation.DefaultStaticConfig()
-		sc.ReservedCPUs = reservedN
-		st, err := isolation.StartStatic(k, fs, sc)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range services {
-			if err := st.RegisterLC(r.svc.PID()); err != nil {
-				return nil, err
-			}
-		}
-		defer st.Stop()
-	default: // none: pin services to the reserved pool statically
-		for _, r := range services {
-			if err := r.svc.Process().SetAffinity(reserved); err != nil {
-				return nil, err
-			}
 		}
 	}
 
@@ -378,7 +339,7 @@ func Run(spec Spec) (*Report, error) {
 			Queries:  r.svc.Completed(),
 			Summary:  r.svc.Latencies().Summarize(),
 		}
-		if mr, ok := r.store.(kvstore.MemoryReporter); ok {
+		if mr, ok := r.svc.Store().(kvstore.MemoryReporter); ok {
 			sr.MemBytes = mr.ApproxMemory()
 		}
 		rep.Services = append(rep.Services, sr)
@@ -395,10 +356,6 @@ func Run(spec Spec) (*Report, error) {
 	if holmesd != nil {
 		_, rep.Deallocations, rep.Reallocations, rep.Expansions = holmesd.Stats()
 		rep.DaemonUtil = (holmesd.CPUTimeNs() - daemonBase) / float64(durNs)
-		holmesd.Stop()
-	}
-	if perfiso != nil {
-		perfiso.Stop()
 	}
 	return rep, nil
 }
@@ -410,26 +367,34 @@ func defaultInt(v, d int) int {
 	return v
 }
 
-// newStore mirrors the experiments constructor (kept local so scenario
-// does not depend on the experiments package).
-func newStore(name string, seed uint64) (kvstore.Store, error) {
+// StartPolicy is the one dispatch point from a scheduler name to a running
+// CPU policy: "holmes" (the daemon configured by hc), "perfiso",
+// "static", or "none"/"" (services pinned to the reserved CPUs, nothing
+// else managed). reserved is the latency-critical pool, logical CPUs
+// 0..reserved.Count()-1: PerfIso and Static take its size and rebuild the
+// same pool, Holmes sizes its own from hc.ReservedCPUs. Under "holmes" the
+// daemon is also returned typed, for its statistics; it is nil under the
+// other policies.
+func StartPolicy(name string, k *kernel.Kernel, fs *cgroupfs.FS, reserved cpuid.Mask,
+	hc core.Config) (isolation.Policy, *core.Daemon, error) {
 	switch name {
-	case "redis":
-		cfg := redis.DefaultConfig()
-		cfg.Seed = seed
-		return redis.New(cfg), nil
-	case "memcached":
-		return memcached.New(memcached.DefaultConfig()), nil
-	case "rocksdb":
-		cfg := rocksdb.DefaultConfig()
-		cfg.Seed = seed
-		return rocksdb.New(cfg), nil
-	case "wiredtiger":
-		cfg := wiredtiger.DefaultConfig()
-		cfg.Seed = seed
-		return wiredtiger.New(cfg), nil
+	case "holmes":
+		d, err := core.Start(k, fs, hc)
+		return d, d, err
+	case "perfiso":
+		pc := isolation.DefaultPerfIsoConfig()
+		pc.ReservedCPUs = reserved.Count()
+		p, err := isolation.StartPerfIso(k, fs, pc)
+		return p, nil, err
+	case "static":
+		sc := isolation.DefaultStaticConfig()
+		sc.ReservedCPUs = reserved.Count()
+		st, err := isolation.StartStatic(k, fs, sc)
+		return st, nil, err
+	case "", "none":
+		return isolation.Pin(k, reserved), nil, nil
 	}
-	return nil, fmt.Errorf("scenario: unknown store %q", name)
+	return nil, nil, fmt.Errorf("scenario: unknown scheduler %q", name)
 }
 
 // Render prints the report.

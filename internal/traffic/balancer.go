@@ -109,14 +109,6 @@ func (b *Balancer) SetOutstanding(name string, n int64) {
 	}
 }
 
-// Outstanding returns a replica's current queue estimate.
-func (b *Balancer) Outstanding(name string) int64 {
-	if s := b.byName[name]; s != nil {
-		return s.outstanding
-	}
-	return 0
-}
-
 // TotalOutstanding sums the queue estimates over all replicas.
 func (b *Balancer) TotalOutstanding() int64 {
 	var n int64
