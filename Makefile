@@ -11,12 +11,15 @@ vet:
 	$(GO) vet ./...
 
 # Fast correctness gate: vet everything, race-test the telemetry record
-# path, the daemon that drives it, the worker pool, and the concurrent
+# path, the daemon that drives it, the worker pool, the concurrent
 # experiment engine (heavy serial simulations skip themselves under
-# -race; the engine's concurrency tests still run).
+# -race; the engine's concurrency tests still run), and the shared
+# dataset read path (one YCSB dataset read by every replica's store while
+# nodes advance on parallel workers).
 check:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/telemetry/... ./internal/core/... ./internal/runner/... ./internal/experiments/... ./internal/cluster/... ./internal/faults/...
+	$(GO) test -race ./internal/telemetry/... ./internal/core/... ./internal/runner/... ./internal/experiments/... ./internal/cluster/... ./internal/faults/... \
+		./internal/ycsb/... ./internal/lcservice/... ./internal/traffic/...
 
 # Interval-batching equivalence gate: the per-scenario differential
 # suite (internal/machine/equiv) plus the registry-wide test over every

@@ -248,8 +248,11 @@ func (n *Node) PlaceService(ss ServiceSpec) error {
 	if records == 0 {
 		records = 20_000
 	}
-	svc, gen, err := lcservice.LaunchStore(n.k, ss.Store, rng.DeriveSeed(n.seed, "svc-store", ss.Name),
-		defaultStr(ss.Workload, "a"), records, rng.DeriveSeed(n.seed, "svc-gen", ss.Name))
+	gen, err := ycsb.New(defaultStr(ss.Workload, "a"), records, rng.DeriveSeed(n.seed, "svc-gen", ss.Name))
+	if err != nil {
+		return err
+	}
+	svc, err := lcservice.LaunchStore(n.k, ss.Store, rng.DeriveSeed(n.seed, "svc-store", ss.Name), gen)
 	if err != nil {
 		return err
 	}
@@ -269,15 +272,15 @@ func (n *Node) PlaceService(ss ServiceSpec) error {
 // PlaceReplica launches one replica of a replicated (traffic-driven)
 // service: the same store + lcservice + Guaranteed pod path as
 // PlaceService, but with no closed-loop client — the load-balancer tier
-// submits its requests. Store and load seeds derive from the service
-// name (not the replica name), so every replica holds an identical
-// preloaded working set wherever and whenever it boots.
-func (n *Node) PlaceReplica(name, service string, rs scenario.ReplicatedService) error {
+// submits its requests. The store seed derives from the service name
+// (not the replica name) and data is the service's one dataset, owned by
+// its trafficService, so every replica holds an identical preloaded
+// working set wherever and whenever it boots, in shared buffers.
+func (n *Node) PlaceReplica(name, service string, rs scenario.ReplicatedService, data *ycsb.Generator) error {
 	if _, dup := n.services[name]; dup {
 		return fmt.Errorf("cluster: node %d already runs replica %s", n.ID, name)
 	}
-	svc, _, err := lcservice.LaunchStore(n.k, rs.Store, rng.DeriveSeed(n.seed, "replica-store", service),
-		rs.WorkloadName(), rs.Records(), rng.DeriveSeed(n.seed, "replica-gen", service))
+	svc, err := lcservice.LaunchStore(n.k, rs.Store, rng.DeriveSeed(n.seed, "replica-store", service), data)
 	if err != nil {
 		return err
 	}

@@ -73,6 +73,10 @@ type trafficService struct {
 	prog scenario.TrafficProgram
 	proc *traffic.Process
 	gen  *traffic.OpGen
+	// data is the service's dataset: every replica boot preloads from
+	// it, so all replicas share one set of value buffers for the run.
+	// Replicas have no client, so its operation stream is never drawn.
+	data *ycsb.Generator
 	bal  *traffic.Balancer
 	sc   *traffic.Autoscaler
 	src  *rng.Source // intra-round arrival offsets
@@ -240,11 +244,16 @@ func newTrafficController(spec Spec, tracer *runTracer, p *obs.Plane, hbNs int64
 		if err != nil {
 			return nil, err
 		}
+		data, err := ycsb.New(rs.WorkloadName(), rs.Records(), rng.DeriveSeed(spec.Seed, "replica-gen", rs.Name))
+		if err != nil {
+			return nil, err
+		}
 		ts := &trafficService{
 			spec:     rs,
 			prog:     prog,
 			proc:     traffic.NewProcess(prog, rng.DeriveSeed(seed, "arrivals")),
 			gen:      gen,
+			data:     data,
 			bal:      traffic.NewBalancer(rs.QueueCapacity()),
 			sc:       traffic.NewAutoscaler(rs.Autoscaler),
 			src:      rng.New(rng.DeriveSeed(seed, "offsets")),
@@ -308,7 +317,7 @@ func (tc *trafficController) initialPods() []*pendingPod {
 func (tc *trafficController) place(p *pendingPod, target int, n *Node) error {
 	rep := p.rep
 	ts := rep.ts
-	if err := n.PlaceReplica(rep.name, ts.spec.Name, ts.spec); err != nil {
+	if err := n.PlaceReplica(rep.name, ts.spec.Name, ts.spec, ts.data); err != nil {
 		return err
 	}
 	rep.node = target

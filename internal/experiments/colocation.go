@@ -193,8 +193,11 @@ func RunColocation(cfg ColocationConfig) (*ColocationResult, error) {
 	}
 
 	// The latency-critical service.
-	svc, gen, err := lcservice.LaunchStore(k, cfg.Store, cfg.Seed,
-		cfg.Workload, cfg.RecordCount, cfg.Seed+17)
+	gen, err := ycsb.New(cfg.Workload, cfg.RecordCount, cfg.Seed+17)
+	if err != nil {
+		return nil, err
+	}
+	svc, err := lcservice.LaunchStore(k, cfg.Store, cfg.Seed, gen)
 	if err != nil {
 		return nil, err
 	}

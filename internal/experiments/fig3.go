@@ -51,7 +51,11 @@ func RunFig3(durationNs int64, seed uint64) (Fig3Result, error) {
 		m := machine.New(mcfg)
 		k := kernel.New(m)
 
-		svc, gen, err := lcservice.LaunchStore(k, "redis", seed, "a", 50_000, seed+17)
+		gen, err := ycsb.New("a", 50_000, seed+17)
+		if err != nil {
+			return out, err
+		}
+		svc, err := lcservice.LaunchStore(k, "redis", seed, gen)
 		if err != nil {
 			return out, err
 		}

@@ -51,7 +51,11 @@ func fig5Run(store string, proberRPS float64, durationNs int64, seed uint64) (fl
 	m := machine.New(mcfg)
 	k := kernel.New(m)
 
-	svc, gen, err := lcservice.LaunchStore(k, store, seed, "a", 50_000, seed+17)
+	gen, err := ycsb.New("a", 50_000, seed+17)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	svc, err := lcservice.LaunchStore(k, store, seed, gen)
 	if err != nil {
 		return 0, 0, 0, err
 	}

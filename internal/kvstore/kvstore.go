@@ -95,8 +95,14 @@ type Store interface {
 	Read(key string) Result
 	// Update overwrites an existing key (YCSB update semantics: the key
 	// is expected to exist, but updating a missing key inserts it).
+	//
+	// Update and Insert keep value itself, not a copy, and the slice may
+	// be shared: one YCSB dataset buffer backs the record in every store
+	// loaded from the same generator. A store must never write into
+	// value or append to it, and neither may a caller of Read or Scan
+	// write into a returned Result.Value.
 	Update(key string, value []byte) Result
-	// Insert adds a new record.
+	// Insert adds a new record; value is shared as for Update.
 	Insert(key string, value []byte) Result
 	// Scan visits up to count records starting at the first key >= start.
 	// Stores without range support return Found == false (Memcached).

@@ -126,29 +126,17 @@ func (c Config) Threads() int { return c.Workers + c.BackgroundWorkers }
 
 // LaunchStore is the one way to bring up a preloaded service: it builds
 // the named store from storeSeed, launches it on k with its default
-// configuration, and loads records records drawn from a YCSB generator
-// for workload (a..f) seeded with genSeed. It returns the service and the
-// generator, which a client keeps drawing operations from.
-func LaunchStore(k *kernel.Kernel, store string, storeSeed uint64,
-	workload string, records int64, genSeed uint64) (*Service, *ycsb.Generator, error) {
-	wl, err := ycsb.ByName(workload)
-	if err != nil {
-		return nil, nil, err
-	}
-	if records <= 0 {
-		return nil, nil, fmt.Errorf("lcservice: %s needs a positive record count, got %d", store, records)
-	}
+// configuration, and loads gen's dataset into it. Stores launched from
+// one generator share its record buffers (see Service.Load); a client
+// keeps drawing operations from gen.
+func LaunchStore(k *kernel.Kernel, store string, storeSeed uint64, gen *ycsb.Generator) (*Service, error) {
 	i := storeIndex(store)
 	if i < 0 {
-		return nil, nil, fmt.Errorf("lcservice: unknown store %q", store)
+		return nil, fmt.Errorf("lcservice: unknown store %q", store)
 	}
 	svc := Launch(k, stores[i].build(storeSeed), DefaultConfigFor(store))
-	gcfg := ycsb.DefaultConfig(wl)
-	gcfg.RecordCount = records
-	gcfg.Seed = genSeed
-	gen := ycsb.NewGenerator(gcfg)
 	svc.Load(gen)
-	return svc, gen, nil
+	return svc, nil
 }
 
 // Service is a running latency-critical service.
@@ -269,7 +257,8 @@ func (s *Service) SetAdmission(limit, deadlineNs int64) {
 
 // Load performs the YCSB load phase directly (no latency recording): the
 // data is in place before the measured run, as with a real preloaded
-// store.
+// store. The store keeps gen's value buffers rather than copies, so every
+// store loaded from one generator shares one dataset.
 func (s *Service) Load(gen *ycsb.Generator) {
 	gen.LoadOps(func(key string, value []byte) {
 		s.store.Insert(key, value)

@@ -56,14 +56,20 @@ func TestLaunchStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, k := newEnv()
-		svc, gen, err := LaunchStore(k, store, 1, "a", 500, 2)
+		gen, err := ycsb.New("a", 500, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc, err := LaunchStore(k, store, 1, gen)
 		if err != nil {
 			t.Fatalf("%s: %v", store, err)
 		}
-		if svc.Store().Name() == "" || gen == nil || len(svc.Workers()) != DefaultConfigFor(store).Workers {
+		if svc.Store().Name() == "" || svc.Store().Len() != 500 || len(svc.Workers()) != DefaultConfigFor(store).Workers {
 			t.Fatalf("%s: service not launched as configured", store)
 		}
 	}
+	// The two steps of a launch fail on their own inputs: the dataset on
+	// its workload and record count, the store on its name.
 	for _, tc := range []struct {
 		store, workload string
 		records         int64
@@ -75,8 +81,12 @@ func TestLaunchStore(t *testing.T) {
 		{"redis", "a", -5, "positive record count"},
 	} {
 		_, k := newEnv()
-		if _, _, err := LaunchStore(k, tc.store, 1, tc.workload, tc.records, 2); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("LaunchStore(%s, %s, %d) = %v, want an error mentioning %q", tc.store, tc.workload, tc.records, err, tc.want)
+		gen, err := ycsb.New(tc.workload, tc.records, 2)
+		if err == nil {
+			_, err = LaunchStore(k, tc.store, 1, gen)
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("launch(%s, %s, %d) = %v, want an error mentioning %q", tc.store, tc.workload, tc.records, err, tc.want)
 		}
 	}
 	if err := CheckStore("cassandra"); err == nil {

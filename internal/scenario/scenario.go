@@ -209,8 +209,11 @@ func Run(spec Spec) (*Report, error) {
 		if records == 0 {
 			records = 50_000
 		}
-		svc, gen, err := lcservice.LaunchStore(k, ss.Store, mcfg.Seed+uint64(i),
-			defaultStr(ss.Workload, "a"), records, mcfg.Seed+17+uint64(i)*101)
+		gen, err := ycsb.New(defaultStr(ss.Workload, "a"), records, mcfg.Seed+17+uint64(i)*101)
+		if err != nil {
+			return nil, err
+		}
+		svc, err := lcservice.LaunchStore(k, ss.Store, mcfg.Seed+uint64(i), gen)
 		if err != nil {
 			return nil, err
 		}

@@ -35,20 +35,18 @@ type regionGen struct {
 // NewOpGen compiles the generator for one service; seed should derive
 // from (run seed, service name) so replicas see one coherent stream.
 func NewOpGen(prog scenario.TrafficProgram, svc scenario.ReplicatedService, seed uint64) (*OpGen, error) {
-	wl, err := ycsb.ByName(svc.WorkloadName())
+	vals, err := ycsb.New(svc.WorkloadName(), svc.Records(), rng.DeriveSeed(seed, "traffic-values"))
 	if err != nil {
 		return nil, err
 	}
+	wl := vals.Workload()
 	g := &OpGen{
 		pick:    rng.New(rng.DeriveSeed(seed, "traffic-pick")),
 		records: svc.Records(),
 		read:    wl.ReadProp + wl.ScanProp,
 		update:  wl.UpdateProp + wl.InsertProp,
+		vals:    vals,
 	}
-	vcfg := ycsb.DefaultConfig(wl)
-	vcfg.RecordCount = svc.Records()
-	vcfg.Seed = rng.DeriveSeed(seed, "traffic-values")
-	g.vals = ycsb.NewGenerator(vcfg)
 
 	regions := prog.EffectiveRegions()
 	var total float64

@@ -113,13 +113,19 @@ func DefaultConfig(w Workload) Config {
 	}
 }
 
-// Generator produces the operation stream of one YCSB client.
+// Generator produces the operation stream of one YCSB client. Its
+// dataset — the initial records' values — is built once, on the first
+// LoadOps, and shared from then on by every store loaded from it and by
+// the update operations it generates.
 type Generator struct {
 	cfg      Config
 	src      *rng.Source
 	zipf     *rng.ScrambledZipf
 	latest   *rng.Latest
 	inserted int64
+	// table holds the values of records [0, cfg.RecordCount) once
+	// LoadOps has run: one buffer per record, never written after fill.
+	table [][]byte
 }
 
 // NewGenerator builds a generator; RecordCount records are assumed loaded
@@ -144,19 +150,61 @@ func NewGenerator(cfg Config) *Generator {
 	return g
 }
 
-// Key formats record index i as a YCSB key.
-func Key(i int64) string { return fmt.Sprintf("user%012d", i) }
+// New is the one way from a named core workload (a..f), a record count
+// and a seed to a generator with DefaultConfig's record shape. It
+// returns an error for an unknown workload or records <= 0.
+func New(workload string, records int64, seed uint64) (*Generator, error) {
+	wl, err := ByName(workload)
+	if err != nil {
+		return nil, err
+	}
+	if records <= 0 {
+		return nil, fmt.Errorf("ycsb: workload %s needs a positive record count, got %d", workload, records)
+	}
+	cfg := DefaultConfig(wl)
+	cfg.RecordCount = records
+	cfg.Seed = seed
+	return NewGenerator(cfg), nil
+}
+
+// Key formats record index i as a YCSB key: "user" and i zero-padded to
+// twelve digits.
+func Key(i int64) string {
+	if i < 0 || i >= 1e12 {
+		return fmt.Sprintf("user%012d", i)
+	}
+	b := [16]byte{'u', 's', 'e', 'r'}
+	for j := len(b) - 1; j >= 4; j-- {
+		b[j] = '0' + byte(i%10)
+		i /= 10
+	}
+	return string(b[:])
+}
+
+// Workload returns the generator's workload definition.
+func (g *Generator) Workload() Workload { return g.cfg.Workload }
 
 // RecordCount returns the current number of records (grows with inserts).
 func (g *Generator) RecordCount() int64 { return g.inserted }
 
-// Value produces the deterministic record payload for key index i.
+// Value returns the deterministic record payload for key index i. On a
+// loaded generator, records [0, RecordCount) come from the dataset
+// table: the same buffer on every call, shared by every store holding
+// the record, so it must never be written or appended to. Indices past
+// the table (inserts, update offsets beyond the last record) and
+// generators that never loaded get a freshly built buffer.
 func (g *Generator) Value(i int64) []byte {
+	if i >= 0 && i < int64(len(g.table)) {
+		return g.table[i]
+	}
+	return g.build(i)
+}
+
+// build generates record i's payload, eight letters per LCG step.
+func (g *Generator) build(i int64) []byte {
 	n := g.cfg.FieldCount * g.cfg.FieldLength
 	buf := make([]byte, n)
 	seed := uint64(i)*0x9e3779b97f4a7c15 + g.cfg.Seed
-	// Fill eight letters per LCG step; this sits on the benchmark hot
-	// path (every update regenerates its record).
 	for j := 0; j < n; j += 8 {
 		seed = seed*6364136223846793005 + 1442695040888963407
 		w := seed
@@ -168,10 +216,18 @@ func (g *Generator) Value(i int64) []byte {
 	return buf
 }
 
-// LoadOps invokes fn for every initial record, in insertion order.
+// LoadOps invokes fn for every initial record, in insertion order. The
+// first call builds the dataset table; later calls (every further store
+// loaded from this generator) replay it without regenerating a byte.
 func (g *Generator) LoadOps(fn func(key string, value []byte)) {
-	for i := int64(0); i < g.cfg.RecordCount; i++ {
-		fn(Key(i), g.Value(i))
+	if g.table == nil {
+		g.table = make([][]byte, g.cfg.RecordCount)
+		for i := range g.table {
+			g.table[i] = g.build(int64(i))
+		}
+	}
+	for i, v := range g.table {
+		fn(Key(int64(i)), v)
 	}
 }
 

@@ -1,6 +1,7 @@
 package ycsb
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -38,6 +39,13 @@ func TestByName(t *testing.T) {
 func TestKeyFormat(t *testing.T) {
 	if got := Key(42); got != "user000000000042" {
 		t.Fatalf("Key = %q", got)
+	}
+	// The digit writer matches fmt's padding at both ends of its range
+	// and hands everything outside [0, 1e12) to fmt.
+	for _, i := range []int64{0, 1, 999_999_999_999, 1e12, 123_456_789_012_345, -5} {
+		if got, want := Key(i), fmt.Sprintf("user%012d", i); got != want {
+			t.Errorf("Key(%d) = %q, want %q", i, got, want)
+		}
 	}
 	// Keys are sortable by index.
 	if !(Key(9) < Key(10) && Key(99) < Key(100)) {
