@@ -241,23 +241,13 @@ func (n *Node) Heartbeat() Heartbeat {
 // client started. Seeds derive from (cluster seed, service name) only, so
 // a service behaves identically wherever it lands.
 func (n *Node) PlaceService(ss ServiceSpec) error {
-	if _, dup := n.services[ss.Name]; dup {
-		return fmt.Errorf("cluster: node %d already runs service %s", n.ID, ss.Name)
-	}
-	records := ss.RecordCount
-	if records == 0 {
-		records = 20_000
-	}
-	gen, err := ycsb.New(defaultStr(ss.Workload, "a"), records, rng.DeriveSeed(n.seed, "svc-gen", ss.Name))
+	gen, err := ycsb.New(orDefault(ss.Workload, "a"), orDefault(ss.RecordCount, 20_000),
+		rng.DeriveSeed(n.seed, "svc-gen", ss.Name))
 	if err != nil {
 		return err
 	}
-	svc, err := lcservice.LaunchStore(n.k, ss.Store, rng.DeriveSeed(n.seed, "svc-store", ss.Name), gen)
+	svc, err := n.launch(ss.Name, ss.Store, rng.DeriveSeed(n.seed, "svc-store", ss.Name), gen)
 	if err != nil {
-		return err
-	}
-
-	if _, err := n.kl.RunServicePod(ss.Name, svc.Process()); err != nil {
 		return err
 	}
 	// 10x-compressed bursty traffic, as in the single-node evaluation.
@@ -277,14 +267,8 @@ func (n *Node) PlaceService(ss ServiceSpec) error {
 // its trafficService, so every replica holds an identical preloaded
 // working set wherever and whenever it boots, in shared buffers.
 func (n *Node) PlaceReplica(name, service string, rs scenario.ReplicatedService, data *ycsb.Generator) error {
-	if _, dup := n.services[name]; dup {
-		return fmt.Errorf("cluster: node %d already runs replica %s", n.ID, name)
-	}
-	svc, err := lcservice.LaunchStore(n.k, rs.Store, rng.DeriveSeed(n.seed, "replica-store", service), data)
+	svc, err := n.launch(name, rs.Store, rng.DeriveSeed(n.seed, "replica-store", service), data)
 	if err != nil {
-		return err
-	}
-	if _, err := n.kl.RunServicePod(name, svc.Process()); err != nil {
 		return err
 	}
 	n.services[name] = &nodeService{
@@ -292,6 +276,20 @@ func (n *Node) PlaceReplica(name, service string, rs scenario.ReplicatedService,
 		svc:  svc,
 	}
 	return nil
+}
+
+// launch builds a store preloaded from data and runs it as Guaranteed
+// pod name — the boot path services and replicas share.
+func (n *Node) launch(name, store string, storeSeed uint64, data *ycsb.Generator) (*lcservice.Service, error) {
+	if _, dup := n.services[name]; dup {
+		return nil, fmt.Errorf("cluster: node %d already runs %s", n.ID, name)
+	}
+	svc, err := lcservice.LaunchStore(n.k, store, storeSeed, data)
+	if err != nil {
+		return nil, err
+	}
+	_, err = n.kl.RunServicePod(name, svc.Process())
+	return svc, err
 }
 
 // RetireReplica removes a drained replica: the pod is deleted and the

@@ -105,6 +105,16 @@ func newRunTracer(p *obs.Plane, hbNs int64) *runTracer {
 // roundNs is the control-plane timestamp for decisions taken in round r.
 func (t *runTracer) roundNs(r int) int64 { return int64(r) * t.hbNs }
 
+// finish closes name's interval span in open, if one is open there.
+func (t *runTracer) finish(open map[string]uint64, name string, now int64) (uint64, bool) {
+	id, ok := open[name]
+	if ok {
+		t.rec.Finish(id, now)
+		delete(open, name)
+	}
+	return id, ok
+}
+
 func (t *runTracer) admit(name string, r int) {
 	if t == nil {
 		return
@@ -122,9 +132,7 @@ func (t *runTracer) place(name string, r, node int) {
 	}
 	now := t.roundNs(r)
 	kind := telemetry.SpanPodPlace
-	if id, ok := t.requeueSpan[name]; ok {
-		t.rec.Finish(id, now)
-		delete(t.requeueSpan, name)
+	if id, ok := t.finish(t.requeueSpan, name, now); ok {
 		t.tail[name] = id
 		kind = telemetry.SpanPodReschedule
 	}
@@ -143,10 +151,7 @@ func (t *runTracer) evict(name string, r, node, hotStreak int, trendVPI float64)
 		return
 	}
 	now := t.roundNs(r)
-	if id, ok := t.runSpan[name]; ok {
-		t.rec.Finish(id, now)
-		delete(t.runSpan, name)
-	}
+	t.finish(t.runSpan, name, now)
 	qStart := t.roundNs(r - hotStreak)
 	if qStart < 0 {
 		qStart = 0
@@ -172,10 +177,7 @@ func (t *runTracer) requeue(name string, r int, detail string) {
 		return
 	}
 	now := t.roundNs(r)
-	if id, ok := t.runSpan[name]; ok {
-		t.rec.Finish(id, now)
-		delete(t.runSpan, name)
-	}
+	t.finish(t.runSpan, name, now)
 	t.requeueSpan[name] = t.rec.Start(telemetry.Span{Kind: telemetry.SpanPodRequeue,
 		Parent: t.tail[name], StartNs: now, Node: -1, CPU: -1,
 		Name: name, Detail: detail})
@@ -186,10 +188,7 @@ func (t *runTracer) complete(name string, r int) {
 		return
 	}
 	now := t.roundNs(r)
-	if id, ok := t.runSpan[name]; ok {
-		t.rec.Finish(id, now)
-		delete(t.runSpan, name)
-	}
+	t.finish(t.runSpan, name, now)
 	t.rec.Add(telemetry.Span{Kind: telemetry.SpanPodComplete,
 		Parent: t.tail[name], StartNs: now, EndNs: now,
 		Node: -1, CPU: -1, Name: name})
@@ -204,9 +203,7 @@ func (t *runTracer) servicePlace(name string, r, node int) {
 	}
 	now := t.roundNs(r)
 	kind := telemetry.SpanServicePlace
-	if id, ok := t.requeueSpan[name]; ok {
-		t.rec.Finish(id, now)
-		delete(t.requeueSpan, name)
+	if id, ok := t.finish(t.requeueSpan, name, now); ok {
 		t.tail[name] = id
 		kind = telemetry.SpanServiceFailover
 	}
@@ -307,7 +304,7 @@ func newFleetRollup(p *obs.Plane, hbNs int64) *fleetRollup {
 	return &fleetRollup{store: p.Store, hbNs: hbNs}
 }
 
-func (f *fleetRollup) record(r int, states []NodeState, down []bool, goodQ, badQ int64) {
+func (f *fleetRollup) record(r int, states []NodeState, slots []nodeSlot, goodQ, badQ int64) {
 	if f == nil {
 		return
 	}
@@ -315,7 +312,7 @@ func (f *fleetRollup) record(r int, states []NodeState, down []bool, goodQ, badQ
 	var vpi, util, p99 float64
 	var lendable, up, measured int
 	for i, st := range states {
-		if down[i] || st.Dead {
+		if slots[i].down || st.Dead {
 			continue
 		}
 		up++

@@ -38,10 +38,16 @@ type PodRequest struct {
 
 // Placer chooses a node for a pod from the registry snapshot, returning
 // the node ID or -1 when nothing fits. Implementations must be
-// deterministic: equal inputs, equal choice.
+// deterministic: equal inputs, equal choice. Place is the reference full
+// rescan; PlaceReg is the sharded fast path, answering the same decision
+// from the Registry's per-shard bounds and candidate orders instead of
+// rescanning the fleet. PlaceReg must return exactly what Place would on
+// Registry.States() — the differential tests pin this across chaos
+// schedules and shard sizes.
 type Placer interface {
 	Name() string
 	Place(states []NodeState, req PodRequest) int
+	PlaceReg(g *Registry, req PodRequest) int
 }
 
 // NewPlacer returns the named policy.
@@ -55,15 +61,6 @@ func NewPlacer(name string) (Placer, error) {
 		return ScoringPlacer{}, nil
 	}
 	return nil, fmt.Errorf("cluster: unknown placer %q", name)
-}
-
-// registryPlacer is the sharded fast path: a placer that can answer the
-// same decision from the Registry's per-shard bounds and candidate orders
-// instead of rescanning the fleet. Implementations must return exactly
-// what their Place would on Registry.States() — the differential tests
-// pin this across chaos schedules and shard sizes.
-type registryPlacer interface {
-	PlaceReg(g *Registry, req PodRequest) int
 }
 
 // fits is the shared capacity rule: a pod fits while the node's declared
@@ -92,7 +89,7 @@ func (BinPack) Place(states []NodeState, req PodRequest) int {
 	return -1
 }
 
-// PlaceReg implements registryPlacer: first fit by node ID, skipping
+// PlaceReg implements Placer: first fit by node ID, skipping
 // whole shards whose max free capacity cannot hold the request.
 func (BinPack) PlaceReg(g *Registry, req PodRequest) int {
 	for si := range g.shards {
@@ -186,7 +183,7 @@ func (VPIAware) Place(states []NodeState, req PodRequest) int {
 	return best
 }
 
-// PlaceReg implements registryPlacer: the same tiered selection, skipping
+// PlaceReg implements Placer: the same tiered selection, skipping
 // whole shards whose max free capacity cannot hold the request.
 func (VPIAware) PlaceReg(g *Registry, req PodRequest) int {
 	best, bestAvoid := -1, -1

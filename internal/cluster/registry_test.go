@@ -133,14 +133,13 @@ func TestRegistryAggregatesDifferential(t *testing.T) {
 				}
 			}
 			for _, pl := range placers {
-				rp := pl.(registryPlacer)
 				for _, req := range []PodRequest{
 					{Threads: 1 + round%5},
 					{Threads: 2 + round%7, Guaranteed: true},
 					{Threads: 4},
 				} {
 					want := pl.Place(g.States(), req)
-					got := rp.PlaceReg(g, req)
+					got := pl.PlaceReg(g, req)
 					if got != want {
 						t.Fatalf("shard %d round %d: %s PlaceReg(%+v) = %d, full rescan %d",
 							shardSize, round, pl.Name(), req, got, want)

@@ -85,7 +85,7 @@ func (ScoringPlacer) Place(states []NodeState, req PodRequest) int {
 	return best
 }
 
-// PlaceReg implements registryPlacer: the same decision answered from the
+// PlaceReg implements Placer: the same decision answered from the
 // sharded registry. Shards whose max free capacity cannot fit the request
 // are skipped on their O(1) bound; in the rest, the pre-sorted candidate
 // order for the request's QoS class is walked until the first fitting

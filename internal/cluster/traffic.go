@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/holmes-colocation/holmes/internal/lcservice"
@@ -421,14 +420,7 @@ func (tc *trafficController) nodeLost(i, r int) []*pendingPod {
 	}
 	var pods []*pendingPod
 	for _, ts := range tc.services {
-		names := make([]string, 0, len(ts.replicas))
-		for name, rep := range ts.replicas {
-			if rep.node == i {
-				names = append(names, name)
-			}
-		}
-		sort.Strings(names)
-		for _, name := range names {
+		for _, name := range sortedNames(ts.replicas, func(rep *trafficReplica) bool { return rep.node == i }) {
 			rep := ts.replicas[name]
 			if ts.resilient {
 				for a := 0; a < traffic.MaxAttempts; a++ {
@@ -460,7 +452,7 @@ func (tc *trafficController) nodeLost(i, r int) []*pendingPod {
 // SLO feed), fleet-utilization accounting, series rollups, and the
 // autoscaler decisions. Returns freshly queued replica pods (scale-ups)
 // plus any burn-rate transitions raised by the requests SLO.
-func (tc *trafficController) postRound(r int, nodes []*Node, states []NodeState, down []bool, burn *obs.BurnEngine) ([]*pendingPod, []obs.Alert) {
+func (tc *trafficController) postRound(r int, nodes []*Node, states []NodeState, slots []nodeSlot, burn *obs.BurnEngine) ([]*pendingPod, []obs.Alert) {
 	if tc == nil {
 		return nil, nil
 	}
@@ -469,16 +461,12 @@ func (tc *trafficController) postRound(r int, nodes []*Node, states []NodeState,
 	var pods []*pendingPod
 	var fleetDone, reqGood, reqBad int64
 	for _, ts := range tc.services {
-		names := make([]string, 0, len(ts.replicas))
-		for name := range ts.replicas {
-			names = append(names, name)
-		}
-		sort.Strings(names)
+		names := sortedNames(ts.replicas, nil)
 		var dDone, dShed, dExp int64
 		for _, name := range names {
 			rep := ts.replicas[name]
 			stale := rep.n != nodes[rep.node] // node rebooted under the booking (degradation off)
-			if stale || down[rep.node] || states[rep.node].Dead || states[rep.node].Suspect {
+			if stale || slots[rep.node].down || states[rep.node].Dead || states[rep.node].Suspect {
 				ts.bal.SetHealthy(name, false)
 				continue
 			}
@@ -493,25 +481,14 @@ func (tc *trafficController) postRound(r int, nodes []*Node, states []NodeState,
 			dExp += de
 			ts.bal.SetOutstanding(name, rep.outstanding())
 			lat := rep.ns.svc.Latencies()
-			q, bad := lat.Count(), lat.CountAbove(tc.sloNs)
-			dq, db := q-rep.prevQ, bad-rep.prevBad
-			if dq < 0 {
-				dq = 0
-			}
-			if db < 0 {
-				db = 0
-			}
-			if db > dq {
-				db = dq
-			}
-			rep.prevQ, rep.prevBad = q, bad
+			good, bad := sliDelta(lat.Count(), lat.CountAbove(tc.sloNs), &rep.prevQ, &rep.prevBad)
 			if r >= tc.warmup {
 				if tc.roundSpike {
-					ts.spikeGood += dq - db
-					ts.spikeBad += db
+					ts.spikeGood += good
+					ts.spikeBad += bad
 				} else {
-					ts.troughGood += dq - db
-					ts.troughBad += db
+					ts.troughGood += good
+					ts.troughBad += bad
 				}
 			}
 			// A draining replica with nothing in flight retires now.
@@ -634,7 +611,7 @@ func (tc *trafficController) postRound(r int, nodes []*Node, states []NodeState,
 			tc.freqGHz = n.m.Config().FreqGHz
 			tc.cpusPer = n.m.Topology().LogicalCPUs()
 		}
-		if down[i] {
+		if slots[i].down {
 			continue
 		}
 		busy := n.totalBusy()
@@ -753,7 +730,7 @@ func (tr *TrafficResult) Amplification() float64 {
 }
 
 // collect finalizes the traffic plane into the run result.
-func (tc *trafficController) collect(res *Result, nodes []*Node, down []bool) {
+func (tc *trafficController) collect(res *Result, nodes []*Node, slots []nodeSlot) {
 	if tc == nil {
 		return
 	}
@@ -789,14 +766,9 @@ func (tc *trafficController) collect(res *Result, nodes []*Node, down []bool) {
 			FailedPlacements: ts.failedPlacements,
 		}
 		lat := stats.NewHistogram(1e3, 1e10, 60)
-		names := make([]string, 0, len(ts.replicas))
-		for name := range ts.replicas {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
+		for _, name := range sortedNames(ts.replicas, nil) {
 			rep := ts.replicas[name]
-			live := rep.n == nodes[rep.node] && !down[rep.node]
+			live := rep.n == nodes[rep.node] && !slots[rep.node].down
 			if live {
 				rep.refreshSeen(nil)
 				_ = lat.Merge(rep.ns.svc.Latencies())
