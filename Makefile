@@ -112,6 +112,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzZipf -fuzztime=10s ./internal/rng
 	$(GO) test -run=^$$ -fuzz=FuzzScrambledZipf -fuzztime=10s ./internal/rng
 	$(GO) test -run=^$$ -fuzz=FuzzChaosSpec -fuzztime=10s ./internal/faults
+	$(GO) test -run=^$$ -fuzz=FuzzClusterSpec -fuzztime=10s ./internal/cluster
 	$(GO) test -run=^$$ -fuzz=FuzzIntervalEquivalence -fuzztime=15s ./internal/machine/equiv
 
 # Tick-engine performance trajectory: runs the perfbench scenarios and

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -225,6 +226,11 @@ func TestSpecValidate(t *testing.T) {
 		{"placer", func(s *Spec) { s.Placer = "random" }, `unknown placer "random"`},
 		{"duration", func(s *Spec) { s.DurationSeconds = -1 }, "duration_seconds must be positive"},
 		{"warmup", func(s *Spec) { s.WarmupSeconds = -1 }, "warmup_seconds must not be negative"},
+		{"warmup overflow", func(s *Spec) { s.WarmupSeconds = 1e300 }, "must not exceed"},
+		{"duration overflow", func(s *Spec) { s.DurationSeconds = 1e10 }, "must not exceed"},
+		{"duration NaN", func(s *Spec) { s.DurationSeconds = math.NaN() }, "must not exceed"},
+		{"heartbeat overflow", func(s *Spec) { s.HeartbeatMs = 9e15 }, "heartbeat_ms 9000000000000000 out of range"},
+		{"heartbeat negative", func(s *Spec) { s.HeartbeatMs = -1 }, "heartbeat_ms -1 out of range"},
 		{"no services", func(s *Spec) { s.Services = nil }, "at least one service"},
 		{"dup service", func(s *Spec) { s.Services = append(s.Services, s.Services[0]) }, "duplicate service name"},
 		{"bad store", func(s *Spec) { s.Services[0].Store = "mongo" }, `unknown store "mongo"`},
